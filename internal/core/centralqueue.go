@@ -26,31 +26,44 @@ package core
 //
 // Assign compares the two roots' true waiting times and picks the smaller,
 // so assignments are exactly min-waiting at every instant.
+//
+// The layout is data-oriented. Both heaps hold flat 16-byte heapEntry
+// values whose key is cached whenever the server's state changes, so a heap
+// comparison reads only the two entries and never chases a pointer.
+// Per-server state lives in one slice indexed by node id, and a parallel
+// pos slice maps each tracked node to its slot in whichever heap holds it.
+// No element of these four slices carries a pointer or depends on where
+// the queue lives in memory, so copying them makes an exact mirror:
+// SyncFrom is four memmoves, with no heapify and no per-server work, and
+// the mirror's heaps are arranged exactly like the source's.
 type CentralQueue struct {
 	now float64
-	// servers is indexed by node id (nil = node not tracked). Node ids are
-	// dense per partition, so a slice lookup replaces the obvious map: the
-	// queue is rebuilt for every simulation in a sweep, and a map would
-	// cost one allocation per server plus bucket churn on every rebuild.
-	servers []*serverState
-	// states is the backing arena the servers pointers index into; kept so
-	// SyncFrom can rebuild the queue in place without reallocating it.
+	// states is indexed by node id; states[id].tracked marks membership.
+	// Node ids are dense per partition, so a slice lookup replaces the
+	// obvious map.
 	states  []serverState
-	count   int        // tracked servers (non-nil entries)
-	running serverHeap // key: runEnd + queued
-	idle    serverHeap // key: queued
+	pos     []int32   // heap slot of each tracked node, in the heap its inRun names
+	count   int       // tracked servers
+	running entryHeap // key: runEnd + queued
+	idle    entryHeap // key: queued
 }
 
+// serverState is one server's waiting-time state. It is copied wholesale by
+// every SyncFrom, so its size is a direct multiplier on snapshot refreshes.
+//
+//hawk:size=24
+//hawk:nopointers
 type serverState struct {
-	nodeID  int
 	runEnd  float64 // estimated completion instant of the running long task
 	queued  float64 // summed estimates of queued long tasks
-	heapIdx int
-	inRun   bool
+	inRun   bool    // member of the running heap (else the idle heap)
+	tracked bool
 }
 
 // key returns the heap ordering key for the heap the server currently
 // occupies.
+//
+//hawk:hotpath
 func (s *serverState) key() float64 {
 	if s.inRun {
 		return s.runEnd + s.queued
@@ -59,6 +72,8 @@ func (s *serverState) key() float64 {
 }
 
 // waiting returns the true waiting time at instant now.
+//
+//hawk:hotpath
 func (s *serverState) waiting(now float64) float64 {
 	w := s.queued
 	if s.runEnd > now {
@@ -68,8 +83,10 @@ func (s *serverState) waiting(now float64) float64 {
 }
 
 // NewCentralQueue builds a queue over the given node ids, all initially
-// idle (zero waiting time). Server state is allocated as one block — three
-// allocations total regardless of cluster size.
+// idle (zero waiting time). A duplicate id is tracked once and a negative
+// id is ignored, as Add does. Ids must be below 2^31. Both heaps are sized
+// for every server up front, so neither grows while the membership stays
+// within the initial id range.
 func NewCentralQueue(nodeIDs []int) *CentralQueue {
 	maxID := -1
 	for _, id := range nodeIDs {
@@ -78,16 +95,18 @@ func NewCentralQueue(nodeIDs []int) *CentralQueue {
 		}
 	}
 	q := &CentralQueue{
-		servers: make([]*serverState, maxID+1),
-		count:   len(nodeIDs),
+		states:  make([]serverState, maxID+1),
+		pos:     make([]int32, maxID+1),
+		running: make(entryHeap, 0, len(nodeIDs)),
+		idle:    make(entryHeap, 0, len(nodeIDs)),
 	}
-	q.states = make([]serverState, len(nodeIDs))
-	q.idle.items = make([]*serverState, 0, len(nodeIDs))
-	for i, id := range nodeIDs {
-		s := &q.states[i]
-		s.nodeID = id
-		q.servers[id] = s
-		q.idle.push(s)
+	for _, id := range nodeIDs {
+		if id < 0 || q.states[id].tracked {
+			continue
+		}
+		q.states[id].tracked = true
+		q.idle.push(heapEntry{id: int32(id)}, q.pos)
+		q.count++
 	}
 	return q
 }
@@ -95,12 +114,21 @@ func NewCentralQueue(nodeIDs []int) *CentralQueue {
 // Len returns the number of servers tracked.
 func (q *CentralQueue) Len() int { return q.count }
 
-// lookup returns the tracked server for nodeID, or nil.
-func (q *CentralQueue) lookup(nodeID int) *serverState {
-	if nodeID < 0 || nodeID >= len(q.servers) {
-		return nil
+// tracks reports whether nodeID is a tracked server.
+//
+//hawk:hotpath
+func (q *CentralQueue) tracks(nodeID int) bool {
+	return nodeID >= 0 && nodeID < len(q.states) && q.states[nodeID].tracked
+}
+
+// heap returns the running heap if running is set, else the idle heap.
+//
+//hawk:hotpath
+func (q *CentralQueue) heap(running bool) *entryHeap {
+	if running {
+		return &q.running
 	}
-	return q.servers[nodeID]
+	return &q.idle
 }
 
 //hawk:hotpath
@@ -110,45 +138,41 @@ func (q *CentralQueue) advance(now float64) {
 	}
 	// Migrate expired running roots: their tasks should have finished by
 	// their estimate; their waiting no longer decays.
-	for q.running.len() > 0 {
-		root := q.running.peek()
-		if root.runEnd > q.now {
+	for len(q.running) > 0 {
+		id := q.running[0].id
+		s := &q.states[id]
+		if s.runEnd > q.now {
 			break
 		}
-		q.running.remove(root)
-		root.inRun = false
-		q.idle.push(root)
+		q.running.remove(0, q.pos)
+		s.inRun = false
+		q.idle.push(heapEntry{key: s.key(), id: id}, q.pos)
 	}
 }
 
-// best returns the server with the smallest true waiting time at q.now.
+// best returns the id of the server with the smallest true waiting time at
+// q.now. The queue must be non-empty.
 //
 //hawk:hotpath
-func (q *CentralQueue) best() *serverState {
-	var r, i *serverState
-	if q.running.len() > 0 {
-		r = q.running.peek()
-	}
-	if q.idle.len() > 0 {
-		i = q.idle.peek()
-	}
+func (q *CentralQueue) best() int {
 	switch {
-	case r == nil:
-		return i
-	case i == nil:
-		return r
+	case len(q.running) == 0:
+		return int(q.idle[0].id)
+	case len(q.idle) == 0:
+		return int(q.running[0].id)
 	}
-	wr, wi := r.waiting(q.now), i.waiting(q.now)
+	r, i := q.running[0].id, q.idle[0].id
+	wr, wi := q.states[r].waiting(q.now), q.states[i].waiting(q.now)
 	if wr != wi {
 		if wr < wi {
-			return r
+			return int(r)
 		}
-		return i
+		return int(i)
 	}
-	if r.nodeID < i.nodeID {
-		return r
+	if r < i {
+		return int(r)
 	}
-	return i
+	return int(i)
 }
 
 // Assign places one task with the given estimated duration on the server
@@ -162,11 +186,12 @@ func (q *CentralQueue) Assign(now, estDuration float64) (nodeID int, waiting flo
 		panic("core: Assign on empty CentralQueue")
 	}
 	q.advance(now)
-	s := q.best()
+	nodeID = q.best()
+	s := &q.states[nodeID]
 	waiting = s.waiting(q.now)
 	s.queued += estDuration
-	q.fix(s)
-	return s.nodeID, waiting
+	q.fix(nodeID)
+	return nodeID, waiting
 }
 
 // AddLoad bumps a specific server's queued-work estimate without choosing
@@ -178,56 +203,28 @@ func (q *CentralQueue) Assign(now, estDuration float64) (nodeID int, waiting flo
 //
 //hawk:hotpath
 func (q *CentralQueue) AddLoad(nodeID int, now, estDuration float64) {
-	s := q.lookup(nodeID)
-	if s == nil {
+	if !q.tracks(nodeID) {
 		return
 	}
 	q.advance(now)
-	s.queued += estDuration
-	q.fix(s)
+	q.states[nodeID].queued += estDuration
+	q.fix(nodeID)
 }
 
-// SyncFrom rebuilds this queue as a copy of src: same clock, same tracked
-// servers, same per-server waiting state. This is the snapshot-refresh
-// primitive of the multi-scheduler model — a scheduler's stale local queue
-// catches up to the shared authoritative queue in one O(n) pass (bulk
-// heapify, no per-server sift) and allocates nothing once its arenas have
-// grown to src's size. The two queues share no memory afterwards.
+// SyncFrom makes this queue a copy of src: same clock, same tracked
+// servers, same per-server waiting state, same heap arrangement. This is
+// the snapshot-refresh primitive of the multi-scheduler model — a
+// scheduler's stale local queue catches up to the shared authoritative
+// queue. The layout holds no pointers, so the copy is four slice copies,
+// and it allocates nothing once this queue's slices have grown to src's
+// size. The two queues share no memory afterwards.
 func (q *CentralQueue) SyncFrom(src *CentralQueue) {
 	q.now = src.now
-	if cap(q.servers) < len(src.servers) {
-		q.servers = make([]*serverState, len(src.servers))
-	} else {
-		q.servers = q.servers[:len(src.servers)]
-		for i := range q.servers {
-			q.servers[i] = nil
-		}
-	}
-	if cap(q.states) < src.count {
-		q.states = make([]serverState, src.count)
-	} else {
-		q.states = q.states[:src.count]
-	}
-	q.running.items = q.running.items[:0]
-	q.idle.items = q.idle.items[:0]
-	i := 0
-	for id, ss := range src.servers {
-		if ss == nil {
-			continue
-		}
-		st := &q.states[i]
-		i++
-		*st = *ss
-		q.servers[id] = st
-		if st.inRun {
-			q.running.items = append(q.running.items, st)
-		} else {
-			q.idle.items = append(q.idle.items, st)
-		}
-	}
 	q.count = src.count
-	q.running.heapify()
-	q.idle.heapify()
+	q.states = append(q.states[:0], src.states...)
+	q.pos = append(q.pos[:0], src.pos...)
+	q.running = append(q.running[:0], src.running...)
+	q.idle = append(q.idle[:0], src.idle...)
 }
 
 // TaskStarted records that a previously assigned task began executing on
@@ -242,19 +239,16 @@ func (q *CentralQueue) SyncFrom(src *CentralQueue) {
 //
 //hawk:hotpath
 func (q *CentralQueue) TaskStarted(nodeID int, now, estDuration, runDuration float64) {
-	if q == nil {
-		return
-	}
-	s := q.lookup(nodeID)
-	if s == nil {
+	if q == nil || !q.tracks(nodeID) {
 		return // node not tracked (e.g. outside the general partition)
 	}
 	q.advance(now)
+	s := &q.states[nodeID]
 	s.queued -= estDuration
 	if s.queued < 0 {
 		s.queued = 0
 	}
-	q.moveTo(s, true, q.now+runDuration)
+	q.moveTo(nodeID, true, q.now+runDuration)
 }
 
 // TaskFinished records that the running task on nodeID completed at instant
@@ -262,44 +256,39 @@ func (q *CentralQueue) TaskStarted(nodeID int, now, estDuration, runDuration flo
 //
 //hawk:hotpath
 func (q *CentralQueue) TaskFinished(nodeID int, now float64) {
-	if q == nil {
-		return
-	}
-	s := q.lookup(nodeID)
-	if s == nil {
+	if q == nil || !q.tracks(nodeID) {
 		return
 	}
 	q.advance(now)
-	q.moveTo(s, false, q.now)
+	q.moveTo(nodeID, false, q.now)
 }
 
-// moveTo places the server in the requested heap with the new runEnd.
+// moveTo sets the server's runEnd and places it in the heap that now
+// matches: running if requested and runEnd lies in the future, else idle.
 //
 //hawk:hotpath
-func (q *CentralQueue) moveTo(s *serverState, running bool, runEnd float64) {
-	if s.inRun {
-		q.running.remove(s)
-	} else {
-		q.idle.remove(s)
-	}
+func (q *CentralQueue) moveTo(nodeID int, running bool, runEnd float64) {
+	s := &q.states[nodeID]
+	was := s.inRun
 	s.runEnd = runEnd
 	s.inRun = running && runEnd > q.now
-	if s.inRun {
-		q.running.push(s)
-	} else {
-		q.idle.push(s)
+	if s.inRun == was {
+		q.fix(nodeID)
+		return
 	}
+	q.heap(was).remove(int(q.pos[nodeID]), q.pos)
+	q.heap(s.inRun).push(heapEntry{key: s.key(), id: int32(nodeID)}, q.pos)
 }
 
-// fix restores heap order after s's key changed in place.
+// fix refreshes the server's cached key and restores heap order around it.
 //
 //hawk:hotpath
-func (q *CentralQueue) fix(s *serverState) {
-	if s.inRun {
-		q.running.fix(s)
-	} else {
-		q.idle.fix(s)
-	}
+func (q *CentralQueue) fix(nodeID int) {
+	s := &q.states[nodeID]
+	h := q.heap(s.inRun)
+	i := int(q.pos[nodeID])
+	(*h)[i].key = s.key()
+	h.fix(i, q.pos)
 }
 
 // Remove stops tracking nodeID — the node left the cluster (failure or
@@ -308,39 +297,32 @@ func (q *CentralQueue) fix(s *serverState) {
 // reports whether the node was tracked. Rare-path: membership transitions,
 // not assignment.
 func (q *CentralQueue) Remove(nodeID int) bool {
-	s := q.lookup(nodeID)
-	if s == nil {
+	if !q.tracks(nodeID) {
 		return false
 	}
-	if s.inRun {
-		q.running.remove(s)
-	} else {
-		q.idle.remove(s)
-	}
-	q.servers[nodeID] = nil
+	s := &q.states[nodeID]
+	q.heap(s.inRun).remove(int(q.pos[nodeID]), q.pos)
+	*s = serverState{}
 	q.count--
 	return true
 }
 
 // Add starts (or resumes) tracking nodeID as an idle server with zero
 // waiting time at instant now — the node joined or rejoined the cluster.
-// It reports whether the node was newly added (false if already tracked).
+// It reports whether the node was newly added (false if already tracked or
+// nodeID is negative). Rejoining an id within the tracked range allocates
+// nothing.
 func (q *CentralQueue) Add(nodeID int, now float64) bool {
-	if nodeID < 0 {
-		return false
-	}
-	if q.lookup(nodeID) != nil {
+	if nodeID < 0 || q.tracks(nodeID) {
 		return false
 	}
 	q.advance(now)
-	if nodeID >= len(q.servers) {
-		grown := make([]*serverState, nodeID+1)
-		copy(grown, q.servers)
-		q.servers = grown
+	if grow := nodeID + 1 - len(q.states); grow > 0 {
+		q.states = append(q.states, make([]serverState, grow)...)
+		q.pos = append(q.pos, make([]int32, grow)...)
 	}
-	s := &serverState{nodeID: nodeID, runEnd: q.now}
-	q.servers[nodeID] = s
-	q.idle.push(s)
+	q.states[nodeID] = serverState{runEnd: q.now, tracked: true}
+	q.idle.push(heapEntry{id: int32(nodeID)}, q.pos)
 	q.count++
 	return true
 }
@@ -352,18 +334,17 @@ func (q *CentralQueue) MinWaiting(now float64) float64 {
 		return 0
 	}
 	q.advance(now)
-	return q.best().waiting(q.now)
+	return q.states[q.best()].waiting(q.now)
 }
 
 // Waiting returns the waiting time of a specific server at instant now, or
 // -1 if the server is not tracked.
 func (q *CentralQueue) Waiting(nodeID int, now float64) float64 {
-	s := q.lookup(nodeID)
-	if s == nil {
+	if !q.tracks(nodeID) {
 		return -1
 	}
 	q.advance(now)
-	return s.waiting(q.now)
+	return q.states[nodeID].waiting(q.now)
 }
 
 // Waitings returns the waiting time of every tracked server at instant now,
@@ -371,120 +352,120 @@ func (q *CentralQueue) Waiting(nodeID int, now float64) float64 {
 func (q *CentralQueue) Waitings(now float64) []float64 {
 	q.advance(now)
 	out := make([]float64, 0, q.count)
-	for _, s := range q.servers {
-		if s != nil {
+	for i := range q.states {
+		if s := &q.states[i]; s.tracked {
 			out = append(out, s.waiting(q.now))
 		}
 	}
 	return out
 }
 
-// serverHeap is an indexed binary heap of servers ordered by key() with
-// nodeID tie-breaking for determinism. Like internal/eventq's event heap it
-// is hand-rolled rather than built on container/heap: the heap sits on
-// CentralQueue.Assign's hot path, and container/heap both moves elements
-// through interface{} and pays an indirect call per comparison and swap.
-// Only the root is ever observed (best/advance), and (key, nodeID) is a
-// strict total order over members, so any valid heap arrangement yields
-// identical scheduling decisions.
-type serverHeap struct {
-	items []*serverState
+// heapEntry is one heap slot: a server's cached ordering key and its node
+// id. Heap sifts move and compare only these 16 bytes.
+//
+//hawk:size=16
+//hawk:nopointers
+type heapEntry struct {
+	key float64
+	id  int32
 }
 
-func (h *serverHeap) len() int           { return len(h.items) }
-func (h *serverHeap) peek() *serverState { return h.items[0] }
-
-func (h *serverHeap) less(i, j int) bool {
-	ki, kj := h.items[i].key(), h.items[j].key()
-	if ki != kj {
-		return ki < kj
-	}
-	return h.items[i].nodeID < h.items[j].nodeID
-}
-
-func (h *serverHeap) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].heapIdx = i
-	h.items[j].heapIdx = j
-}
-
-//hawk:hotpath
-func (h *serverHeap) push(s *serverState) {
-	s.heapIdx = len(h.items)
-	h.items = append(h.items, s)
-	h.siftUp(s.heapIdx)
-}
-
-//hawk:hotpath
-func (h *serverHeap) remove(s *serverState) {
-	i := s.heapIdx
-	n := len(h.items) - 1
-	if i != n {
-		h.swap(i, n)
-	}
-	h.items[n] = nil // drop the reference so a departed server can be collected
-	h.items = h.items[:n]
-	if i != n {
-		if !h.siftDown(i) {
-			h.siftUp(i)
-		}
-	}
-}
-
-// fix restores heap order around position s after s's key changed in place.
+// less orders entries by (key, id). Node ids are unique within a queue, so
+// this is a strict total order over a heap's members.
 //
 //hawk:hotpath
-func (h *serverHeap) fix(s *serverState) {
-	if !h.siftDown(s.heapIdx) {
-		h.siftUp(s.heapIdx)
+func (a heapEntry) less(b heapEntry) bool {
+	if a.key != b.key {
+		return a.key < b.key
 	}
+	return a.id < b.id
 }
 
-// heapify establishes heap order over items filled in arbitrary order (the
-// classic bottom-up build): O(n) total, versus O(n log n) for pushing one by
-// one. SyncFrom uses it to rebuild a mirrored queue in one pass.
-func (h *serverHeap) heapify() {
-	for i, s := range h.items {
-		s.heapIdx = i
-	}
-	for i := len(h.items)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-}
+// entryHeap is an indexed binary min-heap of entries under heapEntry.less.
+// The index, pos, is owned by the CentralQueue and shared by both of its
+// heaps (a node sits in at most one), so every method that moves an entry
+// takes it and records the entry's new slot there. Like internal/eventq's
+// event heap it is hand-rolled rather than built on container/heap: the
+// heap sits on CentralQueue.Assign's hot path, and container/heap both
+// moves elements through interface{} and pays an indirect call per
+// comparison and swap. Only the root is ever observed (best/advance), and
+// the order is strict and total, so any valid heap arrangement yields
+// identical scheduling decisions.
+type entryHeap []heapEntry
 
 //hawk:hotpath
-func (h *serverHeap) siftUp(i int) {
+func (h *entryHeap) push(e heapEntry, pos []int32) {
+	*h = append(*h, e)
+	h.siftUp(len(*h)-1, pos)
+}
+
+// remove deletes the entry in slot i.
+//
+//hawk:hotpath
+func (h *entryHeap) remove(i int, pos []int32) {
+	n := len(*h) - 1
+	if i != n {
+		(*h)[i] = (*h)[n]
+	}
+	*h = (*h)[:n]
+	if i != n {
+		h.fix(i, pos)
+	}
+}
+
+// fix restores heap order around slot i after its key changed in place.
+//
+//hawk:hotpath
+func (h entryHeap) fix(i int, pos []int32) {
+	if !h.siftDown(i, pos) {
+		h.siftUp(i, pos)
+	}
+}
+
+// siftUp moves the entry in slot i toward the root, shifting each parent
+// it passes down one level, and records every moved entry's slot in pos.
+//
+//hawk:hotpath
+func (h entryHeap) siftUp(i int, pos []int32) {
+	e := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			return
+		if !e.less(h[parent]) {
+			break
 		}
-		h.swap(i, parent)
+		h[i] = h[parent]
+		pos[h[i].id] = int32(i)
 		i = parent
 	}
+	h[i] = e
+	pos[e.id] = int32(i)
 }
 
-// siftDown reports whether it moved the element, mirroring container/heap's
-// down so fix and remove sift up only when no downward motion occurred.
+// siftDown reports whether it moved the entry, mirroring container/heap's
+// down so fix sifts up only when no downward motion occurred.
 //
 //hawk:hotpath
-func (h *serverHeap) siftDown(i int) bool {
+func (h entryHeap) siftDown(i int, pos []int32) bool {
 	start := i
-	n := len(h.items)
+	e := h[i]
+	n := len(h)
 	for {
 		left := 2*i + 1
 		if left >= n {
 			break
 		}
 		j := left
-		if right := left + 1; right < n && h.less(right, left) {
+		if right := left + 1; right < n && h[right].less(h[left]) {
 			j = right
 		}
-		if !h.less(j, i) {
+		if !h[j].less(e) {
 			break
 		}
-		h.swap(i, j)
+		h[i] = h[j]
+		pos[h[i].id] = int32(i)
 		i = j
 	}
+	h[i] = e
+	pos[e.id] = int32(i)
 	return i > start
 }
