@@ -27,12 +27,11 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"repro/hawk"
+	"repro/internal/cliflags"
 	"repro/internal/experiments"
 	"repro/internal/stats"
 )
@@ -50,91 +49,19 @@ var (
 	traceOut    = flag.String("trace-out", "", "write the synthetic Google trace at the current -numjobs/-seed to this hawk-trace file and exit")
 	fullProto   = flag.Bool("fullproto", false, "run fig16-17 at the paper's full prototype scale (3300 jobs, sec->ms; takes tens of minutes)")
 
-	// Dynamic-cluster scenario flags, overlaid on every simulator run of
-	// the selected experiment (see hawk.ChurnSpec / hawk.Heterogeneity).
-	failNodes = flag.Int("fail-nodes", 0, "fail this many random nodes at -fail-at (0 = no failures)")
-	failAt    = flag.Float64("fail-at", 0, "simulated seconds at which -fail-nodes nodes fail")
-	recoverAt = flag.Float64("recover-at", 0, "simulated seconds at which failed nodes recover (0 = never)")
-	speedSkew = flag.Float64("speed-skew", 0, "fraction of nodes running at -slow-speed (0 = homogeneous)")
-	slowSpeed = flag.Float64("slow-speed", 0.5, "speed factor of the skewed nodes (1 = nominal)")
-
-	// Profiling, mirroring cmd/hawksim: macro-experiment profiles can be
-	// captured directly instead of reconstructing the sweep as a
-	// benchmark.
-	cpuProfFlag = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfFlag = flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
-
-	// Multi-scheduler overlay (see hawk.SchedulerSpec); the multisched
-	// experiment sweeps the count itself and ignores these.
-	schedulers     = flag.Int("schedulers", 0, "run every simulation with this many concurrent schedulers (0 or 1 = exact single scheduler)")
-	schedFailAt    = flag.Float64("scheduler-fail-at", 0, "simulated seconds at which scheduler 0 fails (0 = never; requires -schedulers)")
-	schedRecoverAt = flag.Float64("scheduler-recover-at", 0, "simulated seconds at which scheduler 0 recovers (0 = never)")
-
-	// Gray-failure overlay (see hawk.FaultSpec); the faults experiment
-	// sweeps the loss probability itself and ignores these.
-	netDelay       = flag.Float64("net-delay", 0, "one-way network delay per message leg in seconds (0 = default)")
-	msgLoss        = flag.Float64("msg-loss", 0, "drop probability applied to every message class in every run (0 = lossless)")
-	jitter         = flag.Float64("jitter", 0, "extra uniform [0,jitter) delay per message leg in seconds")
-	straggleAt     = flag.Float64("straggle-at", 0, "simulated seconds at which -straggle-nodes nodes slow down")
-	straggleNodes  = flag.Int("straggle-nodes", 0, "slow down this many random nodes at -straggle-at (0 = no stragglers)")
-	straggleFactor = flag.Float64("straggle-factor", 4, "slowdown factor of the straggling nodes (tasks stretch by this)")
-	speculate      = flag.Bool("speculate", false, "speculatively re-execute straggling short tasks (first completion wins)")
-	faultRetries   = flag.Int("fault-retries", 0, "send retries before a lossy message gives up (0 = default 3; raise for heavy -msg-loss)")
+	// Scenario overlay (see hawk.ChurnSpec, hawk.Heterogeneity,
+	// hawk.SchedulerSpec, hawk.FaultSpec), applied to every simulator run
+	// of the selected experiment. The robustness, churn, faults and
+	// multisched experiments script their own churn, loss or scheduler
+	// count and ignore that part of it.
+	scenario = cliflags.Register(flag.CommandLine)
+	profile  = cliflags.RegisterProfile(flag.CommandLine)
 )
 
-// scenario assembles the Churn/Heterogeneity/Schedulers overlay from the
-// flags.
-func scenario() (*hawk.ChurnSpec, *hawk.Heterogeneity, *hawk.SchedulerSpec) {
-	var events []hawk.ChurnEvent
-	if *failNodes > 0 {
-		events = append(events, hawk.ChurnEvent{At: *failAt, Kind: hawk.ChurnFail, Count: *failNodes})
-		if *recoverAt > 0 {
-			events = append(events, hawk.ChurnEvent{At: *recoverAt, Kind: hawk.ChurnRecover, Count: *failNodes})
-		}
-	}
-	if *schedFailAt > 0 {
-		events = append(events, hawk.SchedulerChurn(0, *schedFailAt, *schedRecoverAt)...)
-	}
-	var churn *hawk.ChurnSpec
-	if len(events) > 0 {
-		churn = &hawk.ChurnSpec{Events: events}
-	}
-	var hetero *hawk.Heterogeneity
-	if *speedSkew > 0 {
-		hetero = &hawk.Heterogeneity{Classes: []hawk.SpeedClass{{Fraction: *speedSkew, Speed: *slowSpeed}}}
-	}
-	var spec *hawk.SchedulerSpec
-	if *schedulers > 0 {
-		spec = &hawk.SchedulerSpec{Count: *schedulers}
-	}
-	return churn, hetero, spec
-}
-
-// faultOverlay assembles the gray-failure scenario from the injection
-// flags, or nil when none are set.
-func faultOverlay() *hawk.FaultSpec {
-	// Zero means unset; non-zero values (including invalid negatives) are
-	// passed through so Config.Normalize can reject them with a real error.
-	if *msgLoss == 0 && *jitter == 0 && *straggleNodes == 0 && !*speculate {
-		return nil
-	}
-	f := &hawk.FaultSpec{
-		ProbeLoss:  *msgLoss,
-		ReplyLoss:  *msgLoss,
-		StealLoss:  *msgLoss,
-		AssignLoss: *msgLoss,
-		CommitLoss: *msgLoss,
-		Jitter:     *jitter,
-		MaxRetries: *faultRetries,
-		Speculate:  *speculate,
-	}
-	if *straggleNodes != 0 {
-		f.Stragglers = []hawk.StragglerEvent{
-			{At: *straggleAt, Count: *straggleNodes, Factor: *straggleFactor},
-		}
-	}
-	return f
-}
+// noOverlay lists the experiments that run no overlaid simulation: the
+// workload tables and CDFs simulate nothing, and fig1 and fig16-17 build
+// their own fixed configurations.
+var noOverlay = map[string]bool{"table1": true, "table2": true, "fig1": true, "fig4": true, "fig16-17": true}
 
 type experiment struct {
 	id   string
@@ -172,6 +99,10 @@ func main() {
 // realMain holds the body so deferred profile writers run before the
 // process exits (os.Exit skips defers in main).
 func realMain() int {
+	if err := scenario.Check(); err != nil {
+		fmt.Fprintf(os.Stderr, "hawkexp: %v\n", err)
+		return 2
+	}
 	regs := registry()
 	if *listFlag || (*expFlag == "" && *traceOut == "") {
 		fmt.Println("experiments:")
@@ -183,33 +114,12 @@ func realMain() int {
 		}
 		return 0
 	}
-	if *cpuProfFlag != "" {
-		f, err := os.Create(*cpuProfFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hawkexp: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "hawkexp: starting CPU profile: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
+	stop, err := profile.Start("hawkexp")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hawkexp: %v\n", err)
+		return 1
 	}
-	if *memProfFlag != "" {
-		defer func() {
-			f, err := os.Create(*memProfFlag)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hawkexp: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "hawkexp: writing heap profile: %v\n", err)
-			}
-		}()
-	}
+	defer stop()
 	if !hawk.Registered(*policyFlag) {
 		fmt.Fprintf(os.Stderr, "hawkexp: unknown policy %q (registered: %v)\n", *policyFlag, hawk.Policies())
 		return 2
@@ -221,9 +131,11 @@ func realMain() int {
 	}
 	sc.Policy = *policyFlag
 	sc.TracePath = *traceFlag
-	sc.Churn, sc.Heterogeneity, sc.Schedulers = scenario()
-	sc.Faults = faultOverlay()
-	sc.NetworkDelay = *netDelay
+	sc.Churn = scenario.Churn()
+	sc.Heterogeneity = scenario.Heterogeneity()
+	sc.Schedulers = scenario.Schedulers()
+	sc.Faults = scenario.Faults()
+	sc.NetworkDelay = scenario.NetDelay()
 	if *traceOut != "" {
 		t, err := experiments.GoogleTrace(sc)
 		if err != nil {
@@ -263,8 +175,8 @@ func realMain() int {
 	}
 	for _, id := range toRun {
 		e := ids[id]
-		if (sc.Churn != nil || sc.Heterogeneity != nil) && (id == "fig1" || id == "fig16-17") {
-			fmt.Fprintf(os.Stderr, "hawkexp: note: %s builds its own fixed configuration; the -fail-nodes/-speed-skew overlay does not apply to it\n", id)
+		if noOverlay[id] && scenario.Active() {
+			fmt.Fprintf(os.Stderr, "hawkexp: note: %s runs no overlaid simulation; the scenario flags do not apply to it\n", id)
 		}
 		fmt.Printf("=== %s — %s\n", e.id, e.desc)
 		start := time.Now()

@@ -30,11 +30,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"repro/hawk"
+	"repro/internal/cliflags"
 )
 
 var (
@@ -57,38 +56,15 @@ var (
 	seedFlag      = flag.Int64("seed", 42, "random seed")
 	listPolFlag   = flag.Bool("list-policies", false, "list registered scheduling policies and exit")
 
-	// Multi-scheduler model flags (§4.10).
-	schedulersFlag   = flag.Int("schedulers", 0, "concurrent schedulers with stale snapshots (0 or 1 = exact single-scheduler model)")
-	snapIntervalFlag = flag.Float64("snapshot-interval", 0, "seconds between scheduler snapshot refreshes (0 = default)")
-	schedFailAtFlag  = flag.Float64("scheduler-fail-at", 0, "simulated seconds at which scheduler 0 fails (0 = never; requires -schedulers)")
-	schedRecAtFlag   = flag.Float64("scheduler-recover-at", 0, "simulated seconds at which scheduler 0 recovers (0 = never)")
-
-	// Dynamic-cluster scenario flags.
-	failNodesFlag = flag.Int("fail-nodes", 0, "fail this many random nodes at -fail-at (0 = no failures)")
-	failAtFlag    = flag.Float64("fail-at", 0, "simulated seconds at which -fail-nodes nodes fail")
-	recoverAtFlag = flag.Float64("recover-at", 0, "simulated seconds at which failed nodes recover (0 = never)")
-	downAtFlag    = flag.Float64("central-down", 0, "simulated seconds at which the centralized scheduler goes down (0 = never)")
-	upAtFlag      = flag.Float64("central-up", 0, "simulated seconds at which the centralized scheduler recovers (0 = never)")
-	speedSkewFlag = flag.Float64("speed-skew", 0, "fraction of nodes running at -slow-speed (0 = homogeneous)")
-	slowSpeedFlag = flag.Float64("slow-speed", 0.5, "speed factor of the skewed nodes (1 = nominal)")
-
-	// Gray-failure injection flags.
-	netDelayFlag       = flag.Float64("net-delay", 0, "one-way network delay per message leg in seconds (0 = default)")
-	msgLossFlag        = flag.Float64("msg-loss", 0, "drop probability applied to every message class (0 = lossless)")
-	jitterFlag         = flag.Float64("jitter", 0, "extra uniform [0,jitter) delay per message leg in seconds")
-	straggleAtFlag     = flag.Float64("straggle-at", 0, "simulated seconds at which -straggle-nodes nodes slow down")
-	straggleNodesFlag  = flag.Int("straggle-nodes", 0, "slow down this many random nodes at -straggle-at (0 = no stragglers)")
-	straggleFactorFlag = flag.Float64("straggle-factor", 4, "slowdown factor of the straggling nodes (tasks stretch by this)")
-	speculateFlag      = flag.Bool("speculate", false, "speculatively re-execute straggling short tasks (first completion wins)")
-	faultRetriesFlag   = flag.Int("fault-retries", 0, "send retries before a lossy message gives up (0 = default 3; raise for heavy -msg-loss)")
-
 	traceOutFlag = flag.String("trace-out", "", "write the workload to this hawk-trace file (gzip by .gz suffix) before running")
 	streamFlag   = flag.Bool("stream", false, "discard per-job reports; aggregate into bounded reservoirs (for multi-million-task traces)")
 
-	dumpFlag    = flag.String("dump", "", "write per-job results to this CSV file")
-	jsonFlag    = flag.String("json", "", "write the full report to this JSON file")
-	cpuProfFlag = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfFlag = flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
+	dumpFlag = flag.String("dump", "", "write per-job results to this CSV file")
+	jsonFlag = flag.String("json", "", "write the full report to this JSON file")
+
+	// Dynamic-cluster, multi-scheduler and gray-failure scenario flags.
+	scenario = cliflags.Register(flag.CommandLine).RegisterSimOnly()
+	profile  = cliflags.RegisterProfile(flag.CommandLine)
 )
 
 func main() {
@@ -99,33 +75,16 @@ func main() {
 // realMain holds the body so deferred profile writers run before the
 // process exits (os.Exit skips defers in main).
 func realMain() int {
-	if *cpuProfFlag != "" {
-		f, err := os.Create(*cpuProfFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hawksim: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "hawksim: starting CPU profile: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
+	if err := scenario.Check(); err != nil {
+		fmt.Fprintf(os.Stderr, "hawksim: %v\n", err)
+		return 2
 	}
-	if *memProfFlag != "" {
-		defer func() {
-			f, err := os.Create(*memProfFlag)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hawksim: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "hawksim: writing heap profile: %v\n", err)
-			}
-		}()
+	stop, err := profile.Start("hawksim")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hawksim: %v\n", err)
+		return 1
 	}
+	defer stop()
 	if *listPolFlag {
 		for _, name := range hawk.Policies() {
 			fmt.Println(name)
@@ -172,11 +131,11 @@ func realMain() int {
 		DisableCentral:         *noCentralFlag,
 		MisestimateLo:          *misLoFlag,
 		MisestimateHi:          *misHiFlag,
-		NetworkDelay:           *netDelayFlag,
-		Schedulers:             schedulerSpec(),
-		Churn:                  churnSpec(),
-		Heterogeneity:          heterogeneitySpec(),
-		Faults:                 faultSpec(),
+		NetworkDelay:           scenario.NetDelay(),
+		Schedulers:             scenario.Schedulers(),
+		Churn:                  scenario.Churn(),
+		Heterogeneity:          scenario.Heterogeneity(),
+		Faults:                 scenario.Faults(),
 		Seed:                   *seedFlag,
 		DiscardJobReports:      *streamFlag,
 	}
@@ -229,74 +188,6 @@ func realMain() int {
 		fmt.Printf("wrote report to %s\n", *jsonFlag)
 	}
 	return 0
-}
-
-// schedulerSpec maps -schedulers/-snapshot-interval onto a SchedulerSpec,
-// or nil when the flags are unset (the exact single-scheduler model).
-func schedulerSpec() *hawk.SchedulerSpec {
-	if *schedulersFlag <= 0 {
-		return nil
-	}
-	return &hawk.SchedulerSpec{Count: *schedulersFlag, SnapshotInterval: *snapIntervalFlag}
-}
-
-// churnSpec assembles the scripted scenario from the failure/outage flags,
-// or nil when none are set (the static fast path).
-func churnSpec() *hawk.ChurnSpec {
-	var events []hawk.ChurnEvent
-	if *failNodesFlag > 0 {
-		events = append(events, hawk.ChurnEvent{At: *failAtFlag, Kind: hawk.ChurnFail, Count: *failNodesFlag})
-		if *recoverAtFlag > 0 {
-			events = append(events, hawk.ChurnEvent{At: *recoverAtFlag, Kind: hawk.ChurnRecover, Count: *failNodesFlag})
-		}
-	}
-	if *downAtFlag > 0 {
-		events = append(events, hawk.ChurnEvent{At: *downAtFlag, Kind: hawk.ChurnCentralDown})
-		if *upAtFlag > 0 {
-			events = append(events, hawk.ChurnEvent{At: *upAtFlag, Kind: hawk.ChurnCentralUp})
-		}
-	}
-	if *schedFailAtFlag > 0 {
-		events = append(events, hawk.SchedulerChurn(0, *schedFailAtFlag, *schedRecAtFlag)...)
-	}
-	if len(events) == 0 {
-		return nil
-	}
-	return &hawk.ChurnSpec{Events: events}
-}
-
-// faultSpec assembles the gray-failure scenario from the injection flags,
-// or nil when none are set (no fault state, static fast path).
-func faultSpec() *hawk.FaultSpec {
-	// Zero means unset; non-zero values (including invalid negatives) are
-	// passed through so Config.Normalize can reject them with a real error.
-	if *msgLossFlag == 0 && *jitterFlag == 0 && *straggleNodesFlag == 0 && !*speculateFlag {
-		return nil
-	}
-	f := &hawk.FaultSpec{
-		ProbeLoss:  *msgLossFlag,
-		ReplyLoss:  *msgLossFlag,
-		StealLoss:  *msgLossFlag,
-		AssignLoss: *msgLossFlag,
-		CommitLoss: *msgLossFlag,
-		Jitter:     *jitterFlag,
-		MaxRetries: *faultRetriesFlag,
-		Speculate:  *speculateFlag,
-	}
-	if *straggleNodesFlag != 0 {
-		f.Stragglers = []hawk.StragglerEvent{
-			{At: *straggleAtFlag, Count: *straggleNodesFlag, Factor: *straggleFactorFlag},
-		}
-	}
-	return f
-}
-
-// heterogeneitySpec maps -speed-skew/-slow-speed onto a one-class spec.
-func heterogeneitySpec() *hawk.Heterogeneity {
-	if *speedSkewFlag <= 0 {
-		return nil
-	}
-	return &hawk.Heterogeneity{Classes: []hawk.SpeedClass{{Fraction: *speedSkewFlag, Speed: *slowSpeedFlag}}}
 }
 
 // loadWorkload resolves -trace/-workload. It returns either a materialized

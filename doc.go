@@ -85,22 +85,23 @@
 // See README.md for a tour and a runnable quickstart. The benchmarks in
 // bench_test.go regenerate every table and figure of the paper's
 // evaluation at a reduced scale; cmd/hawksim, cmd/hawkexp, and cmd/hawkgen
-// are the command-line entry points.
+// are the command-line entry points (the first two share their scenario
+// flags through internal/cliflags).
 //
 // # Performance
 //
 // The simulator is built around a typed-event engine (internal/eventq):
 // the event queue stores flat payload structs ordered by (timestamp,
 // sequence) and executes them through one dispatch switch, so scheduling
-// an event allocates nothing — no per-event closures. Two queue backends
-// realize that contract: a hand-rolled binary heap (O(log n) per
-// operation) and the simulator's default, a calendar-style ladder
-// timeline that bins events by timestamp into bucket rungs and sorts
-// lazily on dispatch — amortized O(1) per event, with bucket storage
-// recycled through a spare pool so the steady state allocates nothing.
-// Both produce the identical dispatch order, byte for byte: the golden
-// reports predate the ladder and pass unregenerated, and a differential
-// fuzzer (FuzzLadderVsHeap) pins the equivalence. The core state is
+// an event allocates nothing — no per-event closures. The queue is a
+// calendar-style ladder timeline that bins events by timestamp into
+// bucket rungs and sorts lazily on dispatch — amortized O(1) per event,
+// with bucket storage recycled through a spare pool so the steady state
+// allocates nothing. It dispatches in exactly the (timestamp, sequence)
+// order of the binary heap it replaced, which the package's tests keep
+// as a reference model: the golden reports were generated under the heap
+// and pass unregenerated, and a differential fuzzer (FuzzLadderVsHeap)
+// pins the equivalence. The core state is
 // data-oriented: nodes and per-job state live in dense value-slice arenas
 // and queue entries and events refer to jobs by int32 arena index, so the
 // hot structs are small, pointer-free, and invisible to the garbage

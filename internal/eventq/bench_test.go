@@ -21,10 +21,9 @@ type benchEvent struct {
 // rollingEngine builds an engine holding depth pending events, mimicking a
 // live simulation's steady state: a window of in-flight completions and
 // probes rolling forward through virtual time.
-func rollingEngine(backend Backend, depth int, sink *int) (*Engine[benchEvent], *rand.Rand) {
+func rollingEngine(depth int, sink *int) (*Engine[benchEvent], *rand.Rand) {
 	rng := rand.New(rand.NewSource(1))
-	e := New(func(_ float64, ev benchEvent) { *sink += int(ev.ref) }, depth,
-		WithBackend(backend))
+	e := New(func(_ float64, ev benchEvent) { *sink += int(ev.ref) }, depth)
 	for i := 0; i < depth; i++ {
 		e.At(rng.Float64()*1000, benchEvent{kind: 1, ref: int32(i)})
 	}
@@ -33,10 +32,10 @@ func rollingEngine(backend Backend, depth int, sink *int) (*Engine[benchEvent], 
 
 // benchRolling measures one push plus one dispatch per iteration at a
 // fixed queue depth — the simulator's exact hot-loop shape.
-func benchRolling(b *testing.B, backend Backend, depth int) {
+func benchRolling(b *testing.B, depth int) {
 	b.ReportAllocs()
 	var sink int
-	e, rng := rollingEngine(backend, depth, &sink)
+	e, rng := rollingEngine(depth, &sink)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.After(rng.Float64()*10, benchEvent{kind: 1, ref: int32(i)})
@@ -45,22 +44,40 @@ func benchRolling(b *testing.B, backend Backend, depth int) {
 	_ = sink
 }
 
-func BenchmarkEngineHeap1k(b *testing.B)     { benchRolling(b, BackendHeap, 1024) }
-func BenchmarkEngineLadder1k(b *testing.B)   { benchRolling(b, BackendLadder, 1024) }
-func BenchmarkEngineHeap16k(b *testing.B)    { benchRolling(b, BackendHeap, 16384) }
-func BenchmarkEngineLadder16k(b *testing.B)  { benchRolling(b, BackendLadder, 16384) }
-func BenchmarkEngineHeap256k(b *testing.B)   { benchRolling(b, BackendHeap, 262144) }
-func BenchmarkEngineLadder256k(b *testing.B) { benchRolling(b, BackendLadder, 262144) }
+// benchRollingHeap is benchRolling on the reference heap engine, the
+// baseline the ladder's speed is measured against.
+func benchRollingHeap(b *testing.B, depth int) {
+	b.ReportAllocs()
+	var sink int
+	rng := rand.New(rand.NewSource(1))
+	e := newRefEngine(func(_ float64, ev benchEvent) { sink += int(ev.ref) }, depth)
+	for i := 0; i < depth; i++ {
+		e.At(rng.Float64()*1000, benchEvent{kind: 1, ref: int32(i)})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.After(rng.Float64()*10, benchEvent{kind: 1, ref: int32(i)})
+		e.Step()
+	}
+	_ = sink
+}
 
-// benchDrain measures pre-load-then-drain: push b.N events up front (the
-// trace pre-flight shape — churn scripts, straggler schedules), then pop
-// them all.
-func benchDrain(b *testing.B, backend Backend) {
+func BenchmarkEngineHeap1k(b *testing.B)     { benchRollingHeap(b, 1024) }
+func BenchmarkEngineLadder1k(b *testing.B)   { benchRolling(b, 1024) }
+func BenchmarkEngineHeap16k(b *testing.B)    { benchRollingHeap(b, 16384) }
+func BenchmarkEngineLadder16k(b *testing.B)  { benchRolling(b, 16384) }
+func BenchmarkEngineHeap256k(b *testing.B)   { benchRollingHeap(b, 262144) }
+func BenchmarkEngineLadder256k(b *testing.B) { benchRolling(b, 262144) }
+
+// BenchmarkEngineLadderDrain measures pre-load-then-drain: push b.N events
+// up front (the trace pre-flight shape — churn scripts, straggler
+// schedules), then pop them all. BenchmarkEngineHeapDrain is the same on
+// the reference heap engine.
+func BenchmarkEngineLadderDrain(b *testing.B) {
 	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(2))
 	var sink int
-	e := New(func(_ float64, ev benchEvent) { sink += int(ev.ref) }, b.N,
-		WithBackend(backend))
+	e := New(func(_ float64, ev benchEvent) { sink += int(ev.ref) }, b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.At(rng.Float64()*1e6, benchEvent{kind: 1, ref: int32(i)})
@@ -69,8 +86,18 @@ func benchDrain(b *testing.B, backend Backend) {
 	_ = sink
 }
 
-func BenchmarkEngineHeapDrain(b *testing.B)   { benchDrain(b, BackendHeap) }
-func BenchmarkEngineLadderDrain(b *testing.B) { benchDrain(b, BackendLadder) }
+func BenchmarkEngineHeapDrain(b *testing.B) {
+	b.ReportAllocs()
+	rng := rand.New(rand.NewSource(2))
+	var sink int
+	e := newRefEngine(func(_ float64, ev benchEvent) { sink += int(ev.ref) }, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.At(rng.Float64()*1e6, benchEvent{kind: 1, ref: int32(i)})
+	}
+	e.Run()
+	_ = sink
+}
 
 // TestLadderZeroAllocAcrossDepths pins the zero-allocation contract at
 // every benchmarked depth: after warm-up, the rolling push/dispatch cycle
@@ -82,7 +109,7 @@ func TestLadderZeroAllocAcrossDepths(t *testing.T) {
 	}
 	for _, depth := range depths {
 		var sink int
-		e, rng := rollingEngine(BackendLadder, depth, &sink)
+		e, rng := rollingEngine(depth, &sink)
 		warm := 10 * depth
 		if warm < 100000 {
 			warm = 100000

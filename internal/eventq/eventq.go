@@ -17,23 +17,23 @@
 // capacity hint removes even those when the caller can bound the live
 // event count.
 //
-// # Backends
+// # Queue
 //
-// The queue behind the engine is selectable at construction
-// (WithBackend); both backends realize the identical total order, so a
-// run's output is backend-independent, byte for byte.
+// The queue behind the engine is a ladder (calendar) timeline: events
+// binned by timestamp into bucket rungs over a moving time window,
+// buckets sorted lazily on first pop, with an unsorted overflow tier for
+// far-future timers. Push and pop are amortized O(1) on workloads whose
+// pending window moves forward, which is every discrete-event
+// simulation. See ladder.go for the structure and the argument for why
+// its order is exactly the (timestamp, sequence) order below.
 //
-//   - BackendHeap: a binary min-heap over a []event[E]. O(log n) per
-//     operation, no tuning, strictly bounded worst case. Hand-rolled
-//     rather than built on container/heap, whose interface would box
-//     every element through interface{} on push and pop.
-//
-//   - BackendLadder: a ladder (calendar) timeline — events binned by
-//     timestamp into bucket rungs over a moving time window, buckets
-//     sorted lazily on first pop, with an unsorted overflow tier for
-//     far-future timers. Amortized O(1) per operation; the default for
-//     internal/sim. See ladder.go for the structure and the argument
-//     for why its order is exactly the heap's.
+// A hand-rolled binary min-heap over the same records is kept in the
+// package's tests as the reference model of that order: the differential
+// tests and FuzzLadderVsHeap drive both through identical programs and
+// require identical dispatch streams, and the BenchmarkEngineHeap*
+// benchmarks are the baseline the ladder's speed is measured against.
+// The golden reports in internal/sim were generated under the heap and
+// still pass byte for byte.
 //
 // # Ordering invariant
 //
@@ -58,45 +58,16 @@
 //hawk:deterministic
 package eventq
 
-// Backend selects the priority-queue implementation behind an Engine.
-// Both backends produce the identical dispatch order; they differ only
-// in cost model (see the package comment).
-type Backend uint8
-
-const (
-	// BackendHeap is the binary min-heap: O(log n) per operation.
-	BackendHeap Backend = iota
-	// BackendLadder is the ladder timeline: amortized O(1) per
-	// operation on workloads whose pending window moves forward, which
-	// is every discrete-event simulation.
-	BackendLadder
-)
-
-// Option configures an Engine at construction time.
-type Option func(*config)
-
-type config struct {
-	backend Backend
-}
-
-// WithBackend selects the queue implementation. The default is
-// BackendHeap.
-func WithBackend(b Backend) Option {
-	//hawk:allow construction-time option closure, one per New call, never on the event loop
-	return func(c *config) { c.backend = b }
-}
-
 // Engine is a discrete-event simulation engine over payloads of type E.
 // The zero value is not usable; call New.
 type Engine[E any] struct {
 	now          float64
 	seq          uint64
-	reserved     uint64       // low sequence numbers set aside by ReserveSeqs
-	lastReserved uint64       // highest reserved seq used so far (must increase)
-	events       eventHeap[E] // heap backend; unused when lad != nil
-	lad          *ladder[E]   // ladder backend; nil selects the heap
-	count        uint64       // total events executed
-	maxLen       int          // peak number of simultaneously pending events
+	reserved     uint64 // low sequence numbers set aside by ReserveSeqs
+	lastReserved uint64 // highest reserved seq used so far (must increase)
+	lad          ladder[E]
+	count        uint64 // total events executed
+	maxLen       int    // peak number of simultaneously pending events
 	dispatch     func(now float64, ev E)
 }
 
@@ -107,20 +78,12 @@ type Engine[E any] struct {
 // number of events expected to be pending at once (internal/sim derives a
 // deliberately generous bound from its trace — see the hint comment in
 // sim.Run). Zero is valid and simply means "grow on demand".
-func New[E any](dispatch func(now float64, ev E), capacity int, opts ...Option) *Engine[E] {
+func New[E any](dispatch func(now float64, ev E), capacity int) *Engine[E] {
 	if dispatch == nil {
 		panic("eventq: nil dispatch")
 	}
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
 	e := &Engine[E]{dispatch: dispatch}
-	if cfg.backend == BackendLadder {
-		e.lad = newLadder[E](capacity)
-	} else if capacity > 0 {
-		e.events = make(eventHeap[E], 0, capacity)
-	}
+	e.lad.init(capacity)
 	return e
 }
 
@@ -131,12 +94,7 @@ func (e *Engine[E]) Now() float64 { return e.now }
 func (e *Engine[E]) Executed() uint64 { return e.count }
 
 // Pending returns the number of events waiting in the queue.
-func (e *Engine[E]) Pending() int {
-	if e.lad != nil {
-		return e.lad.n
-	}
-	return len(e.events)
-}
+func (e *Engine[E]) Pending() int { return e.lad.n }
 
 // MaxPending returns the peak number of events that were pending at any one
 // instant so far. It is the engine's live-memory high-water mark: the queue's
@@ -147,14 +105,9 @@ func (e *Engine[E]) Pending() int {
 func (e *Engine[E]) MaxPending() int { return e.maxLen }
 
 // Cap returns the current capacity of the backing array New's hint
-// pre-sizes (for tests and introspection): the heap's event array, or the
-// ladder's overflow tier, which is where a pre-loaded schedule lands.
-func (e *Engine[E]) Cap() int {
-	if e.lad != nil {
-		return cap(e.lad.top)
-	}
-	return cap(e.events)
-}
+// pre-sizes (for tests and introspection): the ladder's overflow tier,
+// which is where a pre-loaded schedule lands.
+func (e *Engine[E]) Cap() int { return cap(e.lad.top) }
 
 // At schedules ev to be dispatched at absolute virtual time t. Scheduling
 // in the past (t < Now) is clamped to Now: the event fires before any later
@@ -173,16 +126,9 @@ func (e *Engine[E]) schedule(t float64, seq uint64, ev E) {
 	if t < e.now {
 		t = e.now
 	}
-	var n int
-	if e.lad != nil {
-		e.lad.push(event[E]{at: t, seq: seq, payload: ev})
-		n = e.lad.n
-	} else {
-		e.events.push(event[E]{at: t, seq: seq, payload: ev})
-		n = len(e.events)
-	}
-	if n > e.maxLen {
-		e.maxLen = n
+	e.lad.push(event[E]{at: t, seq: seq, payload: ev})
+	if e.lad.n > e.maxLen {
+		e.maxLen = e.lad.n
 	}
 }
 
@@ -228,41 +174,27 @@ func (e *Engine[E]) AtReserved(t float64, seq uint64, ev E) {
 // Step executes the single earliest pending event, advancing the clock.
 // It returns false when the queue is empty.
 func (e *Engine[E]) Step() bool {
-	var ev event[E]
-	if e.lad != nil {
-		p := e.lad.front()
-		if p == nil {
-			return false
-		}
-		ev = *p
-		e.lad.advance()
-	} else {
-		if len(e.events) == 0 {
-			return false
-		}
-		ev = e.events.pop()
+	p := e.lad.front()
+	if p == nil {
+		return false
 	}
+	ev := *p
+	e.lad.advance()
 	e.now = ev.at
 	e.count++
 	e.dispatch(e.now, ev.payload)
 	return true
 }
 
-// peekAt reports the timestamp of the earliest pending event. For the
-// ladder backend this may sort or re-bucket internally, but never changes
-// the dispatch order.
+// peekAt reports the timestamp of the earliest pending event. The ladder
+// may sort or re-bucket internally to find it, but never changes the
+// dispatch order.
 func (e *Engine[E]) peekAt() (float64, bool) {
-	if e.lad != nil {
-		p := e.lad.front()
-		if p == nil {
-			return 0, false
-		}
-		return p.at, true
-	}
-	if len(e.events) == 0 {
+	p := e.lad.front()
+	if p == nil {
 		return 0, false
 	}
-	return e.events[0].at, true
+	return p.at, true
 }
 
 // Run executes events until the queue drains.
@@ -294,7 +226,7 @@ type event[E any] struct {
 	payload E
 }
 
-// eventLess is the total order both backends realize: nondecreasing
+// eventLess is the total order the engine realizes: nondecreasing
 // timestamp, FIFO sequence number within a timestamp.
 func eventLess[E any](a, b *event[E]) bool {
 	if a.at != b.at {

@@ -30,6 +30,21 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 	if len(fired) != len(times) {
 		t.Fatalf("fired %d events, want %d", len(fired), len(times))
 	}
+
+	// Ties spread over several timestamps: (time, insertion) order.
+	var got []int
+	e2 := New(func(_ float64, id int) { got = append(got, id) }, 0)
+	e2.At(5, 3)
+	e2.At(1, 0)
+	e2.At(5, 4)
+	e2.At(2, 1)
+	e2.At(2, 2)
+	e2.Run()
+	for i, id := range got {
+		if i != id {
+			t.Fatalf("dispatch order %v, want ascending ids", got)
+		}
+	}
 }
 
 func TestSameTimeFIFO(t *testing.T) {
@@ -99,6 +114,12 @@ func TestPastSchedulingClamps(t *testing.T) {
 	if secondTime != 10 {
 		t.Fatalf("past-scheduled event ran at %v, want clamped to 10", secondTime)
 	}
+	// The same holds on an idle engine between runs.
+	e.At(3, func() { secondTime = e.Now() })
+	e.Run()
+	if secondTime != 10 {
+		t.Fatalf("past event on an idle engine ran at %v, want clamped to 10", secondTime)
+	}
 }
 
 func TestAfterRelative(t *testing.T) {
@@ -148,9 +169,14 @@ func TestRunUntil(t *testing.T) {
 	if e.Pending() != 2 {
 		t.Fatalf("pending = %d, want 2", e.Pending())
 	}
-	e.Run()
-	if len(fired) != 5 {
-		t.Fatalf("total fired %d, want 5", len(fired))
+	// A deadline between events leaves the clock at the deadline.
+	e.RunUntil(3.5)
+	if len(fired) != 3 || e.Now() != 3.5 || e.Pending() != 2 {
+		t.Fatalf("after RunUntil(3.5): fired %v, now %v, pending %d", fired, e.Now(), e.Pending())
+	}
+	e.RunUntil(20)
+	if len(fired) != 5 || e.Now() != 20 {
+		t.Fatalf("after RunUntil(20): fired %d events, now %v", len(fired), e.Now())
 	}
 }
 
@@ -181,18 +207,19 @@ func TestStep(t *testing.T) {
 }
 
 // TestCapacityHint pins New's pre-sizing contract: a positive hint reserves
-// heap capacity up front (no growth copies while pending stays within it),
-// and a zero hint is valid — the heap simply grows on demand.
+// exactly that much overflow-tier capacity up front, where a pre-loaded
+// schedule lands (no growth copies while it stays within the hint), and a
+// zero hint is valid — the queue simply grows on demand.
 func TestCapacityHint(t *testing.T) {
 	e := New(func(float64, int) {}, 128)
-	if got := e.Cap(); got < 128 {
-		t.Fatalf("Cap() = %d after New with hint 128", got)
+	if got := e.Cap(); got != 128 {
+		t.Fatalf("Cap() = %d after New with hint 128, want 128", got)
 	}
 	for i := 0; i < 128; i++ {
 		e.At(float64(i), i)
 	}
 	if got := e.Cap(); got != 128 {
-		t.Fatalf("heap grew to cap %d despite fitting the hint", got)
+		t.Fatalf("pre-load within the hint grew the overflow tier to %d", got)
 	}
 
 	zero := New(func(float64, int) {}, 0)
@@ -211,8 +238,8 @@ func TestCapacityHint(t *testing.T) {
 }
 
 // TestZeroAllocSteadyState is the contract the typed-event redesign exists
-// for: with a struct payload and sufficient heap capacity, scheduling and
-// dispatching events performs zero heap allocations.
+// for: with a struct payload and a sufficient capacity hint, scheduling
+// and dispatching events performs zero heap allocations.
 func TestZeroAllocSteadyState(t *testing.T) {
 	type payload struct {
 		kind uint8
@@ -301,7 +328,7 @@ func TestTieBreakInsertionOrderInvariant(t *testing.T) {
 		got = append(got, key{at: now, ins: ins})
 	}, 0)
 	// Many events crowded onto few distinct timestamps forces heavy
-	// tie-breaking inside the heap.
+	// tie-breaking inside the queue.
 	timestamps := []float64{0, 1, 1, 2, 3, 3, 3, 5, 8}
 	for i := 0; i < 3000; i++ {
 		at := timestamps[rng.Intn(len(timestamps))]
@@ -348,11 +375,12 @@ func TestTieBreakSurvivesNestedScheduling(t *testing.T) {
 	}
 }
 
-// TestHeapMatchesReferenceModel drives the hand-rolled heap against a
+// TestEngineMatchesStableSortModel drives the engine against a
 // stable-sorted reference model over a random interleaving of pushes and
-// pops, catching any sift bug that reorders equal-timestamp events. It uses
-// the typed payload path directly: the record IS the payload, no closures.
-func TestHeapMatchesReferenceModel(t *testing.T) {
+// pops, catching any queue bug that reorders equal-timestamp events. It
+// uses the typed payload path directly: the record IS the payload, no
+// closures.
+func TestEngineMatchesStableSortModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	type rec struct {
 		at  float64

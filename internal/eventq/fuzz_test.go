@@ -5,12 +5,13 @@ import (
 	"testing"
 )
 
-// FuzzLadderVsHeap drives a heap engine and a ladder engine through the
-// identical fuzzer-chosen schedule/pop/reserve program and requires the
-// two dispatch streams — (clock, payload) pairs — to match exactly, along
-// with Pending, MaxPending, and Executed. The heap is the reference
-// implementation of the (timestamp, seq) total order; any divergence is a
-// ladder ordering bug.
+// FuzzLadderVsHeap drives the reference heap engine (refEngine) and the
+// ladder-backed Engine through the identical fuzzer-chosen
+// schedule/pop/reserve program and requires the two dispatch streams —
+// (clock, payload) pairs — to match exactly, along with Pending,
+// MaxPending, and Executed. The heap is the reference implementation of
+// the (timestamp, seq) total order; any divergence is a ladder ordering
+// bug.
 //
 // Program encoding (one op per 3 bytes, permissive by construction so
 // every input is a valid program):
@@ -40,8 +41,8 @@ func FuzzLadderVsHeap(f *testing.F) {
 			id  int
 		}
 		var gotH, gotL []fired
-		h := New(func(now float64, id int) { gotH = append(gotH, fired{now, id}) }, 0)
-		l := New(func(now float64, id int) { gotL = append(gotL, fired{now, id}) }, 0, WithBackend(BackendLadder))
+		h := newRefEngine(func(now float64, id int) { gotH = append(gotH, fired{now, id}) }, 0)
+		l := New(func(now float64, id int) { gotL = append(gotL, fired{now, id}) }, 0)
 		var reserved, nextReserved uint64
 		if len(program) > 0 {
 			reserved = uint64(program[0] % 64)

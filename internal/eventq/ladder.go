@@ -5,7 +5,7 @@ import "math"
 // ladder is a calendar-queue ("ladder queue") timeline: a hierarchy of
 // bucket arrays over a moving time window, with a sorted drain buffer at
 // the bottom and an unsorted overflow tier at the top. It realizes the
-// exact (at, seq) total order of eventHeap at amortized O(1) per
+// exact (at, seq) total order of a binary heap at amortized O(1) per
 // operation: a push is one subtraction, one multiply, and one append; a
 // pop is a copy out of a sorted run, with the sorting cost amortized one
 // comparison-sort of a small bucket per bucket of events dispatched.
@@ -27,8 +27,8 @@ import "math"
 //
 // # Determinism argument
 //
-// The heap dispatches in the total order (at, seq). The ladder dispatches
-// the same order because
+// A binary heap (the tests' reference model) dispatches in the total
+// order (at, seq). The ladder dispatches the same order because
 //
 //  1. bucket partitioning respects timestamp order: an event's bucket
 //     index idx(t) = int((t-start)*invWidth) is a monotone nondecreasing
@@ -174,7 +174,7 @@ const (
 	// full-span window would make rung 0 live for most of the run, and
 	// its buckets would then accumulate every event scheduled into the
 	// window while it drains — O(total events) storage, which is what
-	// the heap backend's single array never pays. A narrow window keeps
+	// a heap's single array never pays. A narrow window keeps
 	// rung 0 short-lived and small; far-future events stay parked in
 	// top (one flat array at its high-water capacity) until a later
 	// re-window reaches them. The 1/topFanout fraction keeps the
@@ -199,12 +199,11 @@ const (
 	nspares = 8
 )
 
-// newLadder pre-sizes the overflow tier, which is where a pre-loaded
+// init pre-sizes the overflow tier, which is where a pre-loaded
 // schedule (events pushed before the first pop) accumulates, and gives
 // the drain buffer a head start (its steady-state size is bounded by the
 // bottomSpawn re-bucketing threshold plus the largest promoted bucket).
-func newLadder[E any](capacity int) *ladder[E] {
-	l := &ladder[E]{}
+func (l *ladder[E]) init(capacity int) {
 	if capacity > 0 {
 		l.top = make([]event[E], 0, capacity)
 		bc := capacity
@@ -213,7 +212,6 @@ func newLadder[E any](capacity int) *ladder[E] {
 		}
 		l.bottom = make([]event[E], 0, bc)
 	}
-	return l
 }
 
 // push routes ev to its tier: the deepest rung whose undrained region
@@ -356,7 +354,7 @@ func (l *ladder[E]) front() *event[E] {
 }
 
 // advance consumes the event front returned: zero its slot (dropping
-// payload references, matching the heap's pop) and move the drain point.
+// payload references so they can be collected) and move the drain point.
 func (l *ladder[E]) advance() {
 	l.bottom[l.head] = event[E]{}
 	l.head++

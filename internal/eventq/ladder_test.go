@@ -42,10 +42,11 @@ func timeDists() []timeDist {
 	}
 }
 
-// TestLadderMatchesHeapRandomPrograms drives a heap engine and a ladder
-// engine through identical random schedule/pop programs and requires the
-// dispatch streams to be identical, event for event — the in-process twin
-// of FuzzLadderVsHeap, swept across timestamp shapes.
+// TestLadderMatchesHeapRandomPrograms drives the reference heap engine
+// and the ladder-backed Engine through identical random schedule/pop
+// programs and requires the dispatch streams to be identical, event for
+// event — the in-process twin of FuzzLadderVsHeap, swept across timestamp
+// shapes.
 func TestLadderMatchesHeapRandomPrograms(t *testing.T) {
 	type fired struct {
 		now float64
@@ -56,8 +57,8 @@ func TestLadderMatchesHeapRandomPrograms(t *testing.T) {
 			for seed := int64(0); seed < 4; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				var gotH, gotL []fired
-				h := New(func(now float64, id int) { gotH = append(gotH, fired{now, id}) }, 0)
-				l := New(func(now float64, id int) { gotL = append(gotL, fired{now, id}) }, 0, WithBackend(BackendLadder))
+				h := newRefEngine(func(now float64, id int) { gotH = append(gotH, fired{now, id}) }, 0)
+				l := New(func(now float64, id int) { gotL = append(gotL, fired{now, id}) }, 0)
 				id := 0
 				for op := 0; op < 30000; op++ {
 					if h.Pending() == 0 || rng.Intn(5) > 1 {
@@ -97,13 +98,13 @@ func TestLadderMatchesHeapRandomPrograms(t *testing.T) {
 // TestLadderReservedSeqsMatchHeap pins the hardest ordering case: reserved
 // low sequence numbers pushed late, landing among equal-timestamp events
 // that are already sorted in the ladder's drain buffer. The reserved event
-// must still win the tie on both backends.
+// must still win the tie in the ladder exactly as in the reference heap.
 func TestLadderReservedSeqsMatchHeap(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
 		var gotH, gotL []int
-		h := New(func(_ float64, id int) { gotH = append(gotH, id) }, 0)
-		l := New(func(_ float64, id int) { gotL = append(gotL, id) }, 0, WithBackend(BackendLadder))
+		h := newRefEngine(func(_ float64, id int) { gotH = append(gotH, id) }, 0)
+		l := New(func(_ float64, id int) { gotL = append(gotL, id) }, 0)
 		const nReserved = 50
 		h.ReserveSeqs(nReserved)
 		l.ReserveSeqs(nReserved)
@@ -142,72 +143,6 @@ func TestLadderReservedSeqsMatchHeap(t *testing.T) {
 	}
 }
 
-// TestLadderBasicContracts runs the engine's behavioral contracts against
-// the ladder backend: time order with FIFO ties, clock advancement,
-// RunUntil semantics, and the capacity hint landing in the overflow tier.
-func TestLadderBasicContracts(t *testing.T) {
-	t.Run("order-and-ties", func(t *testing.T) {
-		var got []int
-		e := New(func(_ float64, id int) { got = append(got, id) }, 0, WithBackend(BackendLadder))
-		e.At(5, 3)
-		e.At(1, 0)
-		e.At(5, 4)
-		e.At(2, 1)
-		e.At(2, 2)
-		e.Run()
-		for i, id := range got {
-			if i != id {
-				t.Fatalf("dispatch order %v, want ascending ids", got)
-			}
-		}
-	})
-	t.Run("run-until", func(t *testing.T) {
-		var got []float64
-		e := New(func(now float64, _ int) { got = append(got, now) }, 0, WithBackend(BackendLadder))
-		for i := 1; i <= 10; i++ {
-			e.At(float64(i), i)
-		}
-		e.RunUntil(4.5)
-		if len(got) != 4 || e.Now() != 4.5 || e.Pending() != 6 {
-			t.Fatalf("after RunUntil(4.5): fired %v, now %v, pending %d", got, e.Now(), e.Pending())
-		}
-		e.RunUntil(20)
-		if len(got) != 10 || e.Now() != 20 {
-			t.Fatalf("after RunUntil(20): fired %d events, now %v", len(got), e.Now())
-		}
-	})
-	t.Run("idle-clock", func(t *testing.T) {
-		e := New(func(_ float64, _ int) {}, 0, WithBackend(BackendLadder))
-		e.RunUntil(7)
-		if e.Now() != 7 {
-			t.Fatalf("Now() = %v, want 7", e.Now())
-		}
-	})
-	t.Run("past-clamps", func(t *testing.T) {
-		var got []float64
-		e := New(func(now float64, _ int) { got = append(got, now) }, 0, WithBackend(BackendLadder))
-		e.At(10, 0)
-		e.Run()
-		e.At(3, 1) // in the past: clamps to now=10
-		e.Run()
-		if got[1] != 10 {
-			t.Fatalf("past event fired at %v, want clamped to 10", got[1])
-		}
-	})
-	t.Run("capacity-hint", func(t *testing.T) {
-		e := New(func(_ float64, _ int) {}, 128, WithBackend(BackendLadder))
-		if e.Cap() != 128 {
-			t.Fatalf("Cap() = %d, want 128", e.Cap())
-		}
-		for i := 0; i < 128; i++ {
-			e.At(float64(i), i)
-		}
-		if e.Cap() != 128 {
-			t.Fatalf("pre-load within the hint grew the overflow tier to %d", e.Cap())
-		}
-	})
-}
-
 // TestLadderSpillAndRewindow forces the structure through its deep paths:
 // repeated overflow re-windowing, bucket spills on tight clusters, and the
 // degenerate single-instant promote — and checks the order against the
@@ -215,8 +150,8 @@ func TestLadderBasicContracts(t *testing.T) {
 func TestLadderSpillAndRewindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var gotH, gotL []int
-	h := New(func(_ float64, id int) { gotH = append(gotH, id) }, 0)
-	l := New(func(_ float64, id int) { gotL = append(gotL, id) }, 0, WithBackend(BackendLadder))
+	h := newRefEngine(func(_ float64, id int) { gotH = append(gotH, id) }, 0)
+	l := New(func(_ float64, id int) { gotL = append(gotL, id) }, 0)
 	id := 0
 	push := func(at float64) {
 		h.At(at, id)
@@ -258,10 +193,11 @@ func TestLadderSpillAndRewindow(t *testing.T) {
 	}
 }
 
-// TestLadderZeroAllocSteadyState is the ladder twin of
+// TestLadderZeroAllocSteadyState is the long-run companion of
 // TestZeroAllocSteadyState: once array capacities reach the workload's
-// high-water mark, the rolling push/dispatch cycle — including bucket
-// promotion, sorting, and re-windowing — must not allocate.
+// high-water mark after a long warm-up, the rolling push/dispatch cycle —
+// including bucket promotion, sorting, and re-windowing — must not
+// allocate.
 func TestLadderZeroAllocSteadyState(t *testing.T) {
 	type payload struct {
 		kind uint8
@@ -269,7 +205,7 @@ func TestLadderZeroAllocSteadyState(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(9))
 	var executed int
-	e := New(func(_ float64, _ payload) { executed++ }, 4096, WithBackend(BackendLadder))
+	e := New(func(_ float64, _ payload) { executed++ }, 4096)
 	for i := 0; i < 4096; i++ {
 		e.At(rng.Float64()*100, payload{kind: 1})
 	}

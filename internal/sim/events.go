@@ -7,11 +7,12 @@ import (
 )
 
 // The simulator's typed-event union. Every discrete event a run executes is
-// one flat simEvent value stored directly in the engine's heap — there are
-// no per-event closures, so scheduling an event allocates nothing, and the
-// payload carries no pointers, so the heap's backing array is opaque to the
-// garbage collector. The payload is deliberately compact (16 bytes: three
-// int32 refs and three tag bytes): every heap sift copies it, so its size
+// one flat simEvent value stored directly in the engine's queue — there
+// are no per-event closures, so scheduling an event allocates nothing, and
+// the payload carries no pointers, so the queue's backing arrays are opaque
+// to the garbage collector. The payload is deliberately compact (16 bytes:
+// three int32 refs and three tag bytes): every bucket append, sort and
+// promotion copies it, so its size
 // is a direct multiplier on the engine's dominant loop. Job state lives in
 // the simulation's flat jobs arena and events refer to it by int32 index;
 // even a task's duration is carried as a task index (aux) into the job's

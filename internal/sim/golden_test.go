@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/eventq"
 	"repro/internal/policy"
 	"repro/internal/workload"
 )
@@ -169,36 +168,6 @@ func TestReportsMatchGolden(t *testing.T) {
 					"The simulator must stay byte-identical across perf work; if this "+
 					"change is intentional, regenerate with SIM_UPDATE_GOLDEN=1 and say why in the PR.",
 					name)
-			}
-		})
-	}
-}
-
-// TestBackendsProduceIdenticalReports re-checks the engine-backend
-// equivalence the golden suite pins implicitly: every golden (trace,
-// config) point is run once on each event-queue backend and the two
-// serialized reports must match byte for byte. The golden files prove
-// the ladder reproduces the order the heap had when they were
-// generated; this proves the two current backends agree with each
-// other directly, without any file in the loop.
-func TestBackendsProduceIdenticalReports(t *testing.T) {
-	trace, cases := goldenCases()
-	defer func(b eventq.Backend) { engineBackend = b }(engineBackend)
-	for name, cfg := range cases {
-		t.Run(name, func(t *testing.T) {
-			engineBackend = eventq.BackendLadder
-			ladder, err := Run(trace, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			engineBackend = eventq.BackendHeap
-			heap, err := Run(trace, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(marshalPinned(t, ladder), marshalPinned(t, heap)) {
-				t.Fatalf("%s: ladder and heap backends produced different reports; "+
-					"the engine's dispatch order must be backend-independent", name)
 			}
 		})
 	}

@@ -15,7 +15,7 @@
 // arena indexed by node id, per-job state lives in one dense []jobState
 // arena, and queue entries and events refer to jobs by int32 arena index
 // instead of by pointer. Trace submission is lazy — each submit event
-// chains the next — so the event heap's working set is bounded by
+// chains the next — so the event queue's working set is bounded by
 // in-flight messages and running tasks, not by the trace length. See the
 // README's Performance section.
 //
@@ -54,14 +54,6 @@ import (
 // the arena grows to the peak in-flight job count on demand, so the hint
 // only avoids early growth copies without committing trace-sized memory.
 const streamArenaHint = 1024
-
-// engineBackend selects the event-queue implementation behind every run.
-// The ladder timeline dispatches the byte-identical event order at
-// amortized O(1) instead of the heap's O(log n) — the golden suite pins
-// the equivalence, and TestBackendsProduceIdenticalReports re-checks it
-// directly by flipping this back to the heap. A var rather than a const
-// only so tests can do that flip.
-var engineBackend = eventq.BackendLadder
 
 // jobState tracks one job while it runs. States live in the simulation's
 // flat jobs arena and are referenced everywhere by int32 index (on a
@@ -326,7 +318,7 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 	}
 	s.slots = cfg.TotalSlots()
 
-	// The heap holds flat simEvent records. Submission is lazily chained
+	// The queue holds flat simEvent records. Submission is lazily chained
 	// (one pending submit at a time), so peak pending events track
 	// in-flight state: one completion or probe round-trip per busy slot,
 	// messages in their 0.5 ms network flight, the submit chain, and the
@@ -334,13 +326,13 @@ func newSimulationSource(src workload.Source, cfg policy.Config) (*simulation, e
 	// Pre-size with that bound, but never beyond what the whole trace
 	// could possibly keep pending at once (tiny traces on huge clusters).
 	// The hint is about avoiding growth copies in the hot loop; either
-	// way the heap grows on demand if a burst exceeds it.
-	heapHint := s.slots + 64
+	// way the queue grows on demand if a burst exceeds it.
+	queueHint := s.slots + 64
 	if meta.TotalTasks > 0 {
 		traceBound := 2 + meta.NumJobs + 3*int(meta.TotalTasks)
-		heapHint = min(heapHint, traceBound)
+		queueHint = min(queueHint, traceBound)
 	}
-	s.eng = eventq.New(s.dispatch, heapHint, eventq.WithBackend(engineBackend))
+	s.eng = eventq.New(s.dispatch, queueHint)
 
 	// One flat arena per hot structure: node and job state become
 	// sequential array indexing instead of 15k–170k individually
